@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	convoy "repro"
 	"repro/internal/bitset"
@@ -95,10 +96,23 @@ func BenchmarkK2HopParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
+			// The k/2-hop phase split of the op, so BENCH_N.json tracks
+			// where the time goes, not only the total.
+			phases := []string{"benchmark", "candidate", "hwmt", "merge", "extend-right", "extend-left", "validate"}
+			sum := make([]time.Duration, len(phases))
 			for i := 0; i < b.N; i++ {
-				if _, err := convoy.MineDataset(ds, p, &convoy.Options{Workers: workers}); err != nil {
+				res, err := convoy.MineDataset(ds, p, &convoy.Options{Workers: workers})
+				if err != nil {
 					b.Fatal(err)
 				}
+				r := res.K2Hop
+				for j, d := range []time.Duration{r.BenchmarkTime, r.CandidateTime, r.HWMTTime,
+					r.MergeTime, r.ExtendRight, r.ExtendLeft, r.ValidateTime} {
+					sum[j] += d
+				}
+			}
+			for j, name := range phases {
+				b.ReportMetric(float64(sum[j].Nanoseconds())/float64(b.N), name+"-ns/op")
 			}
 		})
 	}

@@ -31,6 +31,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -334,41 +335,63 @@ func run(cfg config) (*artifact, error) {
 		runs[i] = &feedRun{name: fmt.Sprintf("load-%d", i), pat: cycle[i%len(cycle)]}
 	}
 
+	// The first failure cancels every worker, poller and query hammer, and
+	// the whole run has a deadline: a stuck feed fails the run, it never
+	// hangs it.
+	deadline := runDeadline(cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	var (
+		errMu    sync.Mutex
+		firstErr error
+	)
+	fail := func(err error) {
+		if err == nil {
+			return
+		}
+		errMu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		errMu.Unlock()
+		cancel()
+	}
+
 	start := time.Now()
-	errs := make(chan error, 2*cfg.feeds+1)
 	var wg sync.WaitGroup
-	stopQueries := make(chan struct{})
+	queryCtx, stopQueries := context.WithCancel(ctx)
+	defer stopQueries()
 	var queryWg sync.WaitGroup
 	if cfg.queryRate > 0 {
 		queryWg.Add(1)
 		go func() {
 			defer queryWg.Done()
-			errs <- hammerQueries(client, base, cfg, stopQueries, mets)
+			fail(hammerQueries(queryCtx, client, base, cfg, mets))
 		}()
 	}
 	for i, fr := range runs {
 		wg.Add(2)
 		go func(i int, fr *feedRun) {
 			defer wg.Done()
-			errs <- driveFeed(client, base, cfg, int64(i), fr, mets)
+			fail(driveFeed(ctx, client, base, cfg, int64(i), fr, mets))
 		}(i, fr)
 		go func(fr *feedRun) {
 			defer wg.Done()
-			errs <- pollFeed(client, base, fr, mets)
+			fail(pollFeed(ctx, client, base, fr, mets))
 		}(fr)
 	}
 	wg.Wait()
-	close(stopQueries)
+	stopQueries()
 	queryWg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return nil, err
+	if firstErr != nil {
+		if errors.Is(firstErr, context.DeadlineExceeded) {
+			return nil, fmt.Errorf("run exceeded its %v deadline: %w", deadline, firstErr)
 		}
+		return nil, firstErr
 	}
 	wall := time.Since(start)
 
-	stats, err := fetchStats(client, base)
+	stats, err := fetchStats(ctx, client, base)
 	if err != nil {
 		return nil, err
 	}
@@ -398,6 +421,18 @@ func run(cfg config) (*artifact, error) {
 			float64(a.BlockCacheHits+a.BlockCacheMisses)
 	}
 	return &artifact{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, Loadgen: rep}, nil
+}
+
+// runDeadline bounds a whole run: minutes more than any unthrottled run at
+// smoke or city scale needs, plus four times the paced send time when -rate
+// throttles the feeds.
+func runDeadline(cfg config) time.Duration {
+	d := 10 * time.Minute
+	if cfg.rate > 0 {
+		batches := float64((cfg.ticks + cfg.batch - 1) / cfg.batch)
+		d += time.Duration(4 * batches / cfg.rate * float64(time.Second))
+	}
+	return d
 }
 
 // startInProcess serves convoyd on a loopback port inside this process.
@@ -445,25 +480,23 @@ func startInProcess(cfg config) (string, func() error, error) {
 }
 
 // hammerQueries issues GET /v1/query/* requests at cfg.queryRate per
-// second, rotating the three query shapes, until stop closes. Successful
+// second, rotating the three query shapes, until ctx ends. Successful
 // page latencies feed the metrics; any non-200 fails the run (a remote
 // -addr server must have an archive configured).
-func hammerQueries(client *http.Client, base string, cfg config, stop <-chan struct{}, mets *metrics) error {
+func hammerQueries(ctx context.Context, client *http.Client, base string, cfg config, mets *metrics) error {
 	urls := []string{
 		fmt.Sprintf("%s/v1/query/time?from=0&to=%d", base, cfg.ticks),
 		base + "/v1/query/object?oid=1",
 		base + "/v1/query/convoys?min_size=2",
 	}
 	per := time.Duration(float64(time.Second) / cfg.queryRate)
-	for i := 0; ; i++ {
-		select {
-		case <-stop:
-			return nil
-		default:
-		}
+	for i := 0; ctx.Err() == nil; i++ {
 		begin := time.Now()
-		resp, err := client.Get(urls[i%len(urls)])
+		resp, err := do(ctx, client, http.MethodGet, urls[i%len(urls)], "", nil)
 		if err != nil {
+			if ctx.Err() != nil {
+				break // stopped mid-request
+			}
 			return err
 		}
 		io.Copy(io.Discard, resp.Body)
@@ -475,16 +508,17 @@ func hammerQueries(client *http.Client, base string, cfg config, stop <-chan str
 		mets.mu.Lock()
 		mets.queryNs = append(mets.queryNs, float64(took.Nanoseconds()))
 		mets.mu.Unlock()
-		if d := per - took; d > 0 {
-			time.Sleep(d)
+		if sleep(ctx, per-took) != nil {
+			break
 		}
 	}
+	return nil
 }
 
 // driveFeed generates one feed's Brinkhoff traffic and streams it in K2BI
 // batches, then flushes. Accepted-request latencies, shed counts and the
 // accept timeline feed the metrics.
-func driveFeed(client *http.Client, base string, cfg config, idx int64, fr *feedRun, mets *metrics) error {
+func driveFeed(ctx context.Context, client *http.Client, base string, cfg config, idx int64, fr *feedRun, mets *metrics) error {
 	ds := brinkhoff.Generate(brinkhoff.Params{
 		Seed: cfg.seed + idx, GridW: 8, GridH: 8, SpaceW: 2000, SpaceH: 2000,
 		MaxTime: int32(cfg.ticks), ObjBegin: cfg.objects, ObjPerTick: cfg.objPerTick,
@@ -522,7 +556,7 @@ func driveFeed(client *http.Client, base string, cfg config, idx int64, fr *feed
 				return err
 			}
 		}
-		if err := postAccepted(client, url, body, mets); err != nil {
+		if err := postAccepted(ctx, client, url, body, mets); err != nil {
 			return fmt.Errorf("feed %s: %w", fr.name, err)
 		}
 		fr.mu.Lock()
@@ -534,12 +568,15 @@ func driveFeed(client *http.Client, base string, cfg config, idx int64, fr *feed
 		mets.mu.Unlock()
 
 		if per > 0 {
+			pause := per
 			if cfg.burst == "square" {
+				pause = 0
 				if (batchIdx+1)%cfg.burstPeriod == 0 {
-					time.Sleep(time.Duration(cfg.burstPeriod) * per)
+					pause = time.Duration(cfg.burstPeriod) * per
 				}
-			} else {
-				time.Sleep(per)
+			}
+			if err := sleep(ctx, pause); err != nil {
+				return err
 			}
 		}
 	}
@@ -548,59 +585,97 @@ func driveFeed(client *http.Client, base string, cfg config, idx int64, fr *feed
 	fr.flushAt = time.Now()
 	fr.sendDone = true
 	fr.mu.Unlock()
-	resp, err := client.Post(base+"/v1/feeds/"+fr.name+"/flush", "application/json", nil)
+	status, payload, _, err := postRetry(ctx, client, base+"/v1/feeds/"+fr.name+"/flush", "application/json", nil, mets)
 	if err != nil {
-		return err
+		return fmt.Errorf("feed %s: flush: %w", fr.name, err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("feed %s: flush status %d", fr.name, resp.StatusCode)
+	if status != http.StatusOK {
+		return fmt.Errorf("feed %s: flush status %d: %s", fr.name, status, payload)
 	}
 	return nil
 }
 
-// postAccepted sends one K2BI batch, retrying 429 shed responses with the
-// server's Retry-After hint, and records the accepted request's latency.
-func postAccepted(client *http.Client, url string, body []byte, mets *metrics) error {
+// postAccepted sends one K2BI batch (postRetry) and records the accepted
+// request's latency.
+func postAccepted(ctx context.Context, client *http.Client, url string, body []byte, mets *metrics) error {
+	status, payload, took, err := postRetry(ctx, client, url, "application/x-k2bi", body, mets)
+	if err != nil {
+		return err
+	}
+	if status != http.StatusAccepted {
+		return fmt.Errorf("ingest status %d: %s", status, payload)
+	}
+	mets.mu.Lock()
+	mets.ingestNs = append(mets.ingestNs, float64(took.Nanoseconds()))
+	mets.mu.Unlock()
+	return nil
+}
+
+// postRetry POSTs body, retrying 429 shed responses (queue_full,
+// rate_limited) after the server's Retry-After hint, and returns the first
+// other response's status, the head of its body and its latency.
+func postRetry(ctx context.Context, client *http.Client, url, ctype string, body []byte, mets *metrics) (int, []byte, time.Duration, error) {
 	for {
 		begin := time.Now()
-		resp, err := client.Post(url, "application/x-k2bi", bytes.NewReader(body))
+		resp, err := do(ctx, client, http.MethodPost, url, ctype, body)
 		if err != nil {
-			return err
+			return 0, nil, 0, err
 		}
 		took := time.Since(begin)
 		payload, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusAccepted:
-			mets.mu.Lock()
-			mets.ingestNs = append(mets.ingestNs, float64(took.Nanoseconds()))
-			mets.mu.Unlock()
-			return nil
-		case http.StatusTooManyRequests:
-			backoff := 25 * time.Millisecond
-			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-				backoff = time.Duration(ra) * time.Second
-			}
-			mets.mu.Lock()
-			mets.shed.HTTP429++
-			mets.shed.Retries++
-			mets.mu.Unlock()
-			time.Sleep(backoff)
-		default:
-			return fmt.Errorf("ingest status %d: %s", resp.StatusCode, payload)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			return resp.StatusCode, payload, took, nil
 		}
+		backoff := 25 * time.Millisecond
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
+			backoff = time.Duration(ra) * time.Second
+		}
+		mets.mu.Lock()
+		mets.shed.HTTP429++
+		mets.shed.Retries++
+		mets.mu.Unlock()
+		if err := sleep(ctx, backoff); err != nil {
+			return 0, nil, 0, err
+		}
+	}
+}
+
+// do sends one request bound to ctx.
+func do(ctx context.Context, client *http.Client, method, url, ctype string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if ctype != "" {
+		req.Header.Set("Content-Type", ctype)
+	}
+	return client.Do(req)
+}
+
+// sleep waits d, or less if ctx ends first, in which case it returns ctx's
+// error.
+func sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
 	}
 }
 
 // pollFeed long-polls one feed's closed patterns, timestamping each arrival
 // against the accept timeline to measure close lag. It exits when the flush
-// state becomes observable.
-func pollFeed(client *http.Client, base string, fr *feedRun, mets *metrics) error {
+// state becomes observable, or when ctx ends.
+func pollFeed(ctx context.Context, client *http.Client, base string, fr *feedRun, mets *metrics) error {
 	cursor := 0
 	for {
-		resp, err := client.Get(fmt.Sprintf("%s/v1/feeds/%s/convoys?cursor=%d&wait=2s", base, fr.name, cursor))
+		resp, err := do(ctx, client, http.MethodGet, fmt.Sprintf("%s/v1/feeds/%s/convoys?cursor=%d&wait=2s", base, fr.name, cursor), "", nil)
 		if err != nil {
 			return err
 		}
@@ -608,7 +683,9 @@ func pollFeed(client *http.Client, base string, fr *feedRun, mets *metrics) erro
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusNotFound {
 			// The worker has not created the feed yet.
-			time.Sleep(5 * time.Millisecond)
+			if err := sleep(ctx, 5*time.Millisecond); err != nil {
+				return err
+			}
 			continue
 		}
 		if resp.StatusCode == http.StatusGone {
@@ -617,7 +694,7 @@ func pollFeed(client *http.Client, base string, fr *feedRun, mets *metrics) erro
 			// that falls behind restarts from the feed's truncated_before,
 			// as the cursor contract prescribes. The skipped convoys are in
 			// the log/archive — only their close-lag samples are lost.
-			tb, err := truncatedBefore(client, base, fr.name)
+			tb, err := truncatedBefore(ctx, client, base, fr.name)
 			if err != nil {
 				return fmt.Errorf("feed %s: 410 recovery: %w", fr.name, err)
 			}
@@ -654,13 +731,13 @@ func pollFeed(client *http.Client, base string, fr *feedRun, mets *metrics) erro
 
 // truncatedBefore reads one feed's live-cursor-domain lower bound from
 // /v1/stats (the machine-readable form of the 410 error's prose).
-func truncatedBefore(client *http.Client, base, feed string) (int, error) {
+func truncatedBefore(ctx context.Context, client *http.Client, base, feed string) (int, error) {
 	var st struct {
 		Feeds map[string]struct {
 			TruncatedBefore int `json:"truncated_before"`
 		} `json:"feeds"`
 	}
-	resp, err := client.Get(base + "/v1/stats")
+	resp, err := do(ctx, client, http.MethodGet, base+"/v1/stats", "", nil)
 	if err != nil {
 		return 0, err
 	}
@@ -678,9 +755,9 @@ func truncatedBefore(client *http.Client, base, feed string) (int, error) {
 	return f.TruncatedBefore, nil
 }
 
-func fetchStats(client *http.Client, base string) (statsResponse, error) {
+func fetchStats(ctx context.Context, client *http.Client, base string) (statsResponse, error) {
 	var st statsResponse
-	resp, err := client.Get(base + "/v1/stats")
+	resp, err := do(ctx, client, http.MethodGet, base+"/v1/stats", "", nil)
 	if err != nil {
 		return st, err
 	}

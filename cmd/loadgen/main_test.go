@@ -1,7 +1,15 @@
 package main
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	convoy "repro"
 )
@@ -92,5 +100,113 @@ func TestLoadgenSmoke(t *testing.T) {
 	}
 	if rep.WallNs <= 0 {
 		t.Fatalf("wall_ns = %d", rep.WallNs)
+	}
+}
+
+// flushProxy serves an in-process convoyd behind a proxy that answers a
+// feed's n-th flush attempt (n from 0) with status(n) in the server's error
+// shape — a 429 is queue_full with Retry-After, as a full shard queue
+// answers — or passes it through when status(n) is 0. It returns the
+// proxy's base URL.
+func flushProxy(t *testing.T, cfg config, status func(n int) int) string {
+	t.Helper()
+	base, shutdown, err := startInProcess(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdown() })
+	target, err := url.Parse(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(target)
+	var mu sync.Mutex
+	attempts := map[string]int{}
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/flush") {
+			mu.Lock()
+			n := attempts[r.URL.Path]
+			attempts[r.URL.Path]++
+			mu.Unlock()
+			if code := status(n); code != 0 {
+				w.Header().Set("Content-Type", "application/json")
+				errCode := "internal"
+				if code == http.StatusTooManyRequests {
+					w.Header().Set("Retry-After", "1")
+					errCode = "queue_full"
+				}
+				w.WriteHeader(code)
+				fmt.Fprintf(w, `{"error":"injected by flushProxy","code":%q}`+"\n", errCode)
+				return
+			}
+		}
+		rp.ServeHTTP(w, r)
+	}))
+	t.Cleanup(proxy.Close)
+	return proxy.URL
+}
+
+// runWithin runs cfg and fails the test if the run has not ended after d.
+func runWithin(t *testing.T, cfg config, d time.Duration) (*artifact, error) {
+	t.Helper()
+	type result struct {
+		art *artifact
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		art, err := run(cfg)
+		done <- result{art, err}
+	}()
+	select {
+	case r := <-done:
+		return r.art, r.err
+	case <-time.After(d):
+		t.Fatalf("run still going after %v: it hangs", d)
+		return nil, nil
+	}
+}
+
+func smallConfig(t *testing.T) config {
+	t.Helper()
+	cfg, err := parseFlags([]string{"-feeds", "3", "-objects", "20", "-ticks", "24", "-batch", "8", "-pattern-mix", "convoy=1,flock=1,mc=1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// A flush answered 429 queue_full is retried after Retry-After, as ingest
+// is, so the run completes; it used to end the feed's worker while its
+// poller waited forever for the flush.
+func TestLoadgenFlushQueueFullRetried(t *testing.T) {
+	cfg := smallConfig(t)
+	cfg.addr = flushProxy(t, cfg, func(n int) int {
+		if n == 0 {
+			return http.StatusTooManyRequests
+		}
+		return 0
+	})
+	art, err := runWithin(t, cfg, time.Minute)
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+	if got := art.Loadgen.Shed.HTTP429; got < int64(cfg.feeds) {
+		t.Fatalf("http_429 = %d, want at least one shed flush per feed (%d)", got, cfg.feeds)
+	}
+	if art.Loadgen.TicksSent != int64(cfg.feeds*cfg.ticks) {
+		t.Fatalf("ticks_sent = %d", art.Loadgen.TicksSent)
+	}
+}
+
+// A flush that fails for good fails the run promptly: the failing worker
+// cancels the pollers, which would otherwise long-poll for a flush that
+// never comes.
+func TestLoadgenFlushFailureEndsRun(t *testing.T) {
+	cfg := smallConfig(t)
+	cfg.addr = flushProxy(t, cfg, func(int) int { return http.StatusInternalServerError })
+	_, err := runWithin(t, cfg, time.Minute)
+	if err == nil || !strings.Contains(err.Error(), "flush status 500") {
+		t.Fatalf("run error = %v, want the flush failure", err)
 	}
 }

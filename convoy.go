@@ -113,8 +113,8 @@ type Options struct {
 	// Algorithm selects the miner (default K2Hop).
 	Algorithm Algorithm
 	// Workers bounds the parallelism of the run: the k/2-hop pipeline fans
-	// its benchmark clusterings, hop-windows and extensions out over a pool
-	// of this size, and DCM/SPARE use it as their per-node task slots. The
+	// its benchmark clusterings, hop-windows, extensions and candidate
+	// validations out over a pool of this size, and DCM/SPARE use it as their per-node task slots. The
 	// default (0) is one worker per core, runtime.GOMAXPROCS(0); 1 forces
 	// the sequential path. Mining results are byte-identical for every
 	// worker count. Negative values are rejected.

@@ -10,15 +10,16 @@
 // vast majority of the data (paper Table 5).
 //
 // The independent units of work — benchmark clusterings, hop-windows,
-// extension walks — fan out over a bounded worker pool (Config.Workers);
-// results are collected index-addressed so the output is byte-identical
-// for every worker count. See docs/ARCHITECTURE.md for the pipeline
+// extension walks, candidate validations — fan out over a bounded worker
+// pool (Config.Workers); results are collected index-addressed so the
+// output is byte-identical for every worker count. See docs/ARCHITECTURE.md for the pipeline
 // diagram and where the pool hooks in.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -52,8 +53,9 @@ type Config struct {
 	LinearHWMT bool
 	// Workers bounds the goroutines of the parallel phases: benchmark
 	// clustering (each benchmark DBSCAN run is independent), HWMT (each
-	// hop-window is independent once the candidate clusters are fixed) and
-	// extension (each merged convoy extends independently). Results are
+	// hop-window is independent once the candidate clusters are fixed),
+	// extension (each merged convoy extends independently) and convoy
+	// validation (each candidate validates independently). Results are
 	// collected index-addressed, so the output is byte-identical for every
 	// worker count. ≤ 0 means one worker per core (runtime.GOMAXPROCS); 1
 	// is the sequential path. The store must tolerate concurrent reads —
@@ -84,6 +86,7 @@ type Report struct {
 	HWMTCPU        time.Duration // summed task time of hop-window mining
 	ExtendRightCPU time.Duration
 	ExtendLeftCPU  time.Duration
+	ValidateCPU    time.Duration // summed task time of FC validation
 
 	BenchmarkPoints int // number of benchmark timestamps clustered
 	HopWindows      int // windows with non-empty candidate sets
@@ -114,24 +117,50 @@ func Mine(store storage.Store, cfg Config) ([]model.Convoy, *Report, error) {
 	// pipeline only guarantees partially connected candidates).
 	readsBefore := store.Stats().Snapshot().PointsRead - rep.PointsProcessed
 	start := time.Now()
-	out := model.NewConvoySet()
-	for _, v := range candidates {
-		if out.Covers(v) {
-			continue
-		}
-		sub, err := vcoda.RestrictFromStore(store, v.Objs, v.Interval())
-		if err != nil {
-			return nil, rep, err
-		}
-		for _, fc := range vcoda.Validate(sub, []model.Convoy{v}, cfg.M, cfg.K, cfg.Eps) {
-			out.Update(fc)
-		}
+	out, err := validate(store, candidates, cfg, rep)
+	if err != nil {
+		return nil, rep, err
 	}
 	rep.ValidateTime = time.Since(start)
-	res := out.Sorted()
-	rep.Convoys = len(res)
+	rep.Convoys = len(out)
 	rep.PointsProcessed = store.Stats().Snapshot().PointsRead - readsBefore
-	return res, rep, nil
+	return out, rep, nil
+}
+
+// validate reduces the candidates to the maximal fully connected convoys
+// they contain. Every candidate validates independently, so the
+// restrictions and CMC runs fan out over the pool (summed task time lands
+// in rep.ValidateCPU); the results then replay into one maximality set in
+// candidate order, so the output is byte-identical for every worker count.
+//
+// The replay needs no coverage skip. A candidate covered by an earlier
+// result only yields sub-convoys of itself, which the set discards
+// untouched, so skipping it would change nothing but the work done — and
+// the work is already done. Mine's candidates are maximal besides, so none
+// is ever covered there.
+func validate(store storage.Store, cands []model.Convoy, cfg Config, rep *Report) ([]model.Convoy, error) {
+	fcs := make([][]model.Convoy, len(cands))
+	var taskCPU atomic.Int64
+	err := pool.ForEach(rep.Workers, len(cands), func(i int) error {
+		t0 := time.Now()
+		defer func() { taskCPU.Add(int64(time.Since(t0))) }()
+		v := cands[i]
+		sub, err := vcoda.RestrictFromStore(store, v.Objs, v.Interval())
+		if err != nil {
+			return err
+		}
+		fcs[i] = vcoda.Validate(sub, []model.Convoy{v}, cfg.M, cfg.K, cfg.Eps)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.ValidateCPU = time.Duration(taskCPU.Load())
+	out := model.NewConvoySet()
+	for _, fc := range fcs {
+		out.UpdateAll(fc)
+	}
+	return out.Sorted(), nil
 }
 
 // MineCandidates runs the pattern-generic part of the k/2-hop pipeline
@@ -274,12 +303,15 @@ func (mi *miner) recluster(t int32, objs model.ObjSet) ([]model.ObjSet, error) {
 // intersectClusterSets computes the candidate clusters CC = {c ∩ c' : |c ∩
 // c'| ≥ m} of two benchmark cluster sets.
 //
-// The pairwise intersections run word-parallel: the window's objects are
-// interned (the universe is ∪a — an id absent from the left benchmark
-// cannot appear in any intersection), each cluster is encoded once, and
-// every pair costs one fused AND+popcount over the packed words instead of
-// a sorted-slice merge. Only pairs meeting the m threshold materialize an
-// ObjSet.
+// Only pairs that share at least m objects are ever intersected. The
+// window's objects are interned (the universe is ∪a — an id absent from
+// the left benchmark cannot appear in any intersection) and a posting list
+// maps each dense object index to the b clusters holding it. For every a
+// cluster, one pass over its objects counts the overlap with each b
+// cluster it touches; only partners with count ≥ m are intersected, in
+// ascending b index — the order an all-pairs scan would emit them in.
+// Disjoint (DBSCAN) clusters make this linear in the objects; overlapping
+// groups (flock disks) work the same, through longer posting lists.
 //
 // Distinct benchmark pairs frequently produce the same intersection; such
 // duplicates are emitted once. Downstream cost (HWMT re-clustering) is
@@ -291,32 +323,66 @@ func intersectClusterSets(a, b []model.ObjSet, m int) []model.ObjSet {
 		return nil
 	}
 	in := model.Intern(model.Universe(nil, a))
-	da := make([]*bitset.Bits, len(a))
-	for i, s := range a {
-		da[i] = in.Encode(s, nil)
-	}
-	db := make([]*bitset.Bits, len(b))
+	n := in.Len()
+	scratch := bitset.New(n)
+	// Posting lists in CSR form: post[off[x]:off[x+1]] are the b clusters
+	// holding dense object x, ascending.
+	var flat []int32 // b's dense objects, cluster by cluster
+	bounds := make([]int, len(b)+1)
 	for j, s := range b {
-		db[j] = in.Encode(s, nil)
+		flat = in.Encode(s, scratch).AppendIndices(flat)
+		bounds[j+1] = len(flat)
 	}
-	scratch := bitset.New(in.Len())
+	off := make([]int32, n+1)
+	for _, x := range flat {
+		off[x+1]++
+	}
+	for x := 0; x < n; x++ {
+		off[x+1] += off[x]
+	}
+	post := make([]int32, len(flat))
+	fill := append([]int32(nil), off[:n]...)
+	for j := range b {
+		for _, x := range flat[bounds[j]:bounds[j+1]] {
+			post[fill[x]] = int32(j)
+			fill[x]++
+		}
+	}
+
+	count := make([]int, len(b))
+	var objs, touched, hits []int32
 	var out []model.ObjSet
 	var seen map[string]bool
 	var keyBuf []byte
-	for i := range da {
-		for j := range db {
-			if scratch.AndOf(da[i], db[j]) < m {
-				continue
+	for _, s := range a {
+		objs = in.Encode(s, scratch).AppendIndices(objs[:0])
+		touched, hits = touched[:0], hits[:0]
+		for _, x := range objs {
+			for _, j := range post[off[x]:off[x+1]] {
+				if count[j] == 0 {
+					touched = append(touched, j)
+				}
+				count[j]++
 			}
+		}
+		for _, j := range touched {
+			if count[j] >= m {
+				hits = append(hits, j)
+			}
+			count[j] = 0
+		}
+		slices.Sort(hits)
+		for _, j := range hits {
+			c := s.Intersect(b[j])
 			if seen == nil {
 				seen = make(map[string]bool)
 			}
-			keyBuf = scratch.AppendKey(keyBuf[:0])
+			keyBuf = in.Encode(c, scratch).AppendKey(keyBuf[:0])
 			if seen[string(keyBuf)] {
 				continue
 			}
 			seen[string(keyBuf)] = true
-			out = append(out, in.Decode(scratch))
+			out = append(out, c)
 		}
 	}
 	return out

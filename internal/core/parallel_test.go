@@ -6,6 +6,7 @@ import (
 	"repro/internal/minetest"
 	"repro/internal/model"
 	"repro/internal/storage"
+	"repro/internal/vcoda"
 )
 
 // mineWith runs the full k/2-hop miner with a fixed worker count and
@@ -22,11 +23,7 @@ func mineWith(t *testing.T, ds *model.Dataset, m, k, workers int) string {
 	if workers > 0 && rep.Workers != workers {
 		t.Fatalf("report says %d workers, want %d", rep.Workers, workers)
 	}
-	s := ""
-	for _, c := range out {
-		s += c.String() + "\n"
-	}
-	return s
+	return canonical(out)
 }
 
 // TestParallelDeterminism is the hard requirement of the parallel engine:
@@ -61,6 +58,77 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 		})
 	}
+	t.Run("validation-covered", testValidateDeterminism)
+}
+
+// testValidateDeterminism checks the parallel validation phase on a
+// candidate list where validation carries real work (some candidates are
+// not fully connected and split) and some candidates are covered by an
+// earlier candidate's result — Mine's own candidates are maximal, so the
+// list appends sub-convoys of mined convoys. Every worker count must give
+// byte-identical output, equal to a sequential pass that skips covered
+// candidates instead of validating them.
+func testValidateDeterminism(t *testing.T) {
+	ds := minetest.Random(2, 40, 120)
+	cfg := DefaultConfig(3, 6, minetest.Eps)
+	store := storage.NewMemStore(ds)
+	cands, _, err := MineCandidates(store, cfg, ConvoyGrouper(cfg.M, cfg.Eps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mined, _, err := Mine(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range mined {
+		if c.Len() > cfg.K {
+			cands = append(cands, model.Convoy{Objs: c.Objs, Start: c.Start + 1, End: c.End})
+		}
+	}
+
+	// Sequential reference with the coverage skip.
+	ref := model.NewConvoySet()
+	covered, split := 0, 0
+	for _, v := range cands {
+		if ref.Covers(v) {
+			covered++
+			continue
+		}
+		sub, err := vcoda.RestrictFromStore(store, v.Objs, v.Interval())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fcs := vcoda.Validate(sub, []model.Convoy{v}, cfg.M, cfg.K, cfg.Eps)
+		if len(fcs) != 1 || !fcs[0].Equal(v) {
+			split++
+		}
+		ref.UpdateAll(fcs)
+	}
+	if covered == 0 || split == 0 {
+		t.Fatalf("case too easy: %d covered, %d split of %d candidates", covered, split, len(cands))
+	}
+	want := canonical(ref.Sorted())
+	for _, workers := range []int{1, 2, 4, 8} {
+		rep := &Report{Workers: workers}
+		out, err := validate(store, cands, cfg, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := canonical(out); got != want {
+			t.Fatalf("workers=%d validation differs from the sequential skip pass:\n--- want ---\n%s--- got ---\n%s", workers, want, got)
+		}
+		if rep.ValidateCPU == 0 {
+			t.Fatalf("workers=%d: validation recorded no CPU time", workers)
+		}
+	}
+}
+
+func canonical(cs []model.Convoy) string {
+	s := ""
+	for _, c := range cs {
+		s += c.String() + "\n"
+	}
+	return s
 }
 
 // TestParallelReportCPUAccounting checks that the parallel phases record
@@ -85,6 +153,9 @@ func TestParallelReportCPUAccounting(t *testing.T) {
 	}
 	if rep.ExtendRight > 0 && rep.ExtendRightCPU == 0 {
 		t.Fatal("extend-right phase ran but recorded no CPU time")
+	}
+	if rep.PreValidation > 0 && rep.ValidateCPU == 0 {
+		t.Fatal("validation phase ran but recorded no CPU time")
 	}
 }
 

@@ -58,6 +58,29 @@ func NewDataset(points []Point) *Dataset {
 	return d
 }
 
+// DatasetFromSnapshots builds a dataset from consecutive per-tick
+// snapshots, snaps[i] holding tick start+i. Each snapshot must be sorted by
+// OID without duplicates — the Store.Fetch contract — and the dataset takes
+// ownership of the slices. Empty ticks at either end are trimmed, so the
+// time range is the min/max observed timestamp, as with NewDataset.
+func DatasetFromSnapshots(start int32, snaps [][]ObjPos) *Dataset {
+	for len(snaps) > 0 && len(snaps[len(snaps)-1]) == 0 {
+		snaps = snaps[:len(snaps)-1]
+	}
+	for len(snaps) > 0 && len(snaps[0]) == 0 {
+		snaps = snaps[1:]
+		start++
+	}
+	if len(snaps) == 0 {
+		return &Dataset{ts: 0, te: -1}
+	}
+	d := &Dataset{ts: start, te: start + int32(len(snaps)) - 1, snaps: snaps}
+	for _, snap := range snaps {
+		d.n += len(snap)
+	}
+	return d
+}
+
 // TimeRange returns the inclusive timestamp range [Ts, Te] of the dataset.
 // For an empty dataset Te < Ts.
 func (d *Dataset) TimeRange() (ts, te int32) { return d.ts, d.te }

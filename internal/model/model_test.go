@@ -387,3 +387,29 @@ func TestDist(t *testing.T) {
 		t.Fatalf("DistSq = %f", DistSq(a, b))
 	}
 }
+
+// DatasetFromSnapshots must build the same dataset as NewDataset over the
+// same points, trimming empty ticks at either end.
+func TestDatasetFromSnapshots(t *testing.T) {
+	snaps := [][]ObjPos{nil, {{OID: 1, X: 1}, {OID: 4, X: 2}}, nil, {{OID: 2, Y: 3}}, {}}
+	var pts []Point
+	for i, snap := range snaps {
+		for _, p := range snap {
+			pts = append(pts, Point{OID: p.OID, T: int32(10 + i), X: p.X, Y: p.Y})
+		}
+	}
+	got, want := DatasetFromSnapshots(10, snaps), NewDataset(pts)
+	gts, gte := got.TimeRange()
+	wts, wte := want.TimeRange()
+	if gts != wts || gte != wte || got.NumPoints() != want.NumPoints() {
+		t.Fatalf("range [%d,%d] %d points, want [%d,%d] %d points", gts, gte, got.NumPoints(), wts, wte, want.NumPoints())
+	}
+	for tt := wts - 1; tt <= wte+1; tt++ {
+		if !reflect.DeepEqual(got.Snapshot(tt), want.Snapshot(tt)) && len(got.Snapshot(tt))+len(want.Snapshot(tt)) > 0 {
+			t.Fatalf("tick %d: %v, want %v", tt, got.Snapshot(tt), want.Snapshot(tt))
+		}
+	}
+	if e := DatasetFromSnapshots(3, [][]ObjPos{nil, {}}); e.NumTimestamps() != 0 || e.NumPoints() != 0 {
+		t.Fatalf("all-empty snapshots: %d ticks, %d points", e.NumTimestamps(), e.NumPoints())
+	}
+}

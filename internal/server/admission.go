@@ -24,8 +24,11 @@ import (
 // Both reject with 429 plus a machine-readable code (rate_limited /
 // breaker_open) and a Retry-After telling the client when capacity is
 // expected back; queue-full itself (the pre-existing backpressure) keeps
-// its own code (queue_full). Flush and query traffic is never shed — only
-// snapshot ingest, the one load source a client can meaningfully back off.
+// its own code (queue_full). Flush and query traffic is never shed by the
+// rate limiter or the breaker — only snapshot ingest, the one load source a
+// client can meaningfully back off. A flush that finds its shard's queue
+// full waits up to flushEnqueueWait for the actor to take a message before
+// it, too, answers queue_full.
 
 // ErrRateLimited is returned when a feed's token bucket is exhausted; the
 // HTTP layer maps it to 429 rate_limited.

@@ -229,6 +229,55 @@ func TestBreakerSheds(t *testing.T) {
 	}
 }
 
+// A flush is never shed: on a stalled shard whose queue is full it waits
+// for the actor to drain instead of answering 429 queue_full, which left
+// clients that flush once with no result.
+func TestFlushWaitsForFullQueue(t *testing.T) {
+	release := make(chan struct{})
+	stalled := false
+	_, ts := newTestServer(t, Config{
+		Shards: 1, QueueLen: 2,
+		testHook: func(int) {
+			if !stalled {
+				stalled = true
+				<-release
+			}
+		},
+	})
+	ds := minetest.Random(7, 10, 16)
+	full := false
+	for tick := int32(0); tick < 16 && !full; tick++ {
+		code, body := postJSON(t, ts.URL+"/v1/feeds/jam/ingest", ingestRequest{Snapshots: snapshotsOf(ds, tick, tick)})
+		switch code {
+		case http.StatusAccepted:
+		case http.StatusTooManyRequests:
+			full = true
+		default:
+			t.Fatalf("status %d: %s", code, body)
+		}
+	}
+	if !full {
+		t.Fatal("the stalled shard's queue never filled")
+	}
+	flushed := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/feeds/jam/flush", "application/json", nil)
+		if err != nil {
+			flushed <- 0
+			return
+		}
+		resp.Body.Close()
+		flushed <- resp.StatusCode
+	}()
+	// Give the flush time to reach the full queue before the shard drains;
+	// the outcome must be the same either way.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	if code := <-flushed; code != http.StatusOK {
+		t.Fatalf("flush on a full queue: status %d, want 200", code)
+	}
+}
+
 // TestStreamCoalescingAvoidsBackpressure is the soak regression for the
 // binary protocol's raison d'être: a snapshot-per-request JSON load that
 // reliably trips queue-full on a stalled shard is replayed as one binary

@@ -639,6 +639,13 @@ func (s *Server) feedFor(name string, create bool, pat convoy.Pattern) (*feed, e
 	return f, nil
 }
 
+// flushEnqueueWait bounds how long a flush waits for queue space. The
+// actor drains without taking the server lock, so the wait ends as soon as
+// it takes its next message. A shard busy for longer than the bound (one
+// batch that takes seconds to cluster) answers the usual 429 queue_full
+// with Retry-After, and the read lock the wait holds stays short.
+const flushEnqueueWait = time.Second
+
 // enqueue routes msg to its feed's shard, applying backpressure. It holds
 // the read lock across the channel send so Close cannot close the queue
 // under it, and it bumps the feed's pending count under the same lock so
@@ -663,11 +670,17 @@ func (s *Server) enqueue(ctx context.Context, msg shardMsg) error {
 		return nil
 	default:
 	}
-	if s.cfg.EnqueueWait <= 0 {
+	wait := s.cfg.EnqueueWait
+	if msg.flushReply != nil {
+		// Flush is not shed on a queue that is draining (admission.go):
+		// it carries no data and ends the feed, so it waits for the actor.
+		wait = max(wait, flushEnqueueWait)
+	}
+	if wait <= 0 {
 		f.pending.Add(-1)
 		return ErrBackpressure
 	}
-	timer := time.NewTimer(s.cfg.EnqueueWait)
+	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	select {
 	case sh.in <- msg:

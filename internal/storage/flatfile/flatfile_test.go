@@ -29,6 +29,17 @@ func TestConformance(t *testing.T) {
 	storetest.Run(t, s, ds)
 }
 
+// TestConformanceWide fetches sets that span many blocks of one tick.
+func TestConformanceWide(t *testing.T) {
+	ds := storetest.WideDataset(5)
+	s, err := Open(writeTemp(t, ds))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	storetest.Run(t, s, ds)
+}
+
 func TestConformanceSparse(t *testing.T) {
 	ds := storetest.RandomDataset(2, 10, 50, 0.2)
 	s, err := Open(writeTemp(t, ds))

@@ -15,10 +15,11 @@ import (
 // mistaken for a successor's.
 //
 // Eviction is CLOCK (second chance) per shard: a hit sets the entry's used
-// bit; the insert hand clears used bits until it finds a cold entry to
-// replace. The global byte budget is split evenly across shards; each shard
-// is an independent mutex + map + ring, so concurrent readers on different
-// shards never contend.
+// bit — in O(1), through the ring slot the map entry records; the insert
+// hand clears used bits until it finds a cold entry to replace. The global
+// byte budget is split evenly across shards; each shard is an independent
+// mutex + map + ring, so concurrent readers on different shards never
+// contend.
 type blockCache struct {
 	shards [cacheShards]cacheShard
 	hits   atomic.Int64
@@ -40,10 +41,18 @@ type cacheKey struct {
 type cacheShard struct {
 	mu   sync.Mutex
 	cap  int
-	m    map[cacheKey][]byte
+	m    map[cacheKey]cacheEntry
 	ring []cacheKey
 	used []bool
 	hand int
+}
+
+// cacheEntry is a cached block and the ring slot that owns it. A ring slot
+// whose key maps to a different slot (or to nothing) is stale: dropTable
+// removed its key, and the key may since have been re-inserted elsewhere.
+type cacheEntry struct {
+	block []byte
+	slot  int
 }
 
 // newBlockCache sizes a cache for roughly byteBudget bytes of blocks.
@@ -56,7 +65,7 @@ func newBlockCache(byteBudget int) *blockCache {
 	c := &blockCache{}
 	for i := range c.shards {
 		c.shards[i].cap = per
-		c.shards[i].m = make(map[cacheKey][]byte, per)
+		c.shards[i].m = make(map[cacheKey]cacheEntry, per)
 	}
 	return c
 }
@@ -73,14 +82,9 @@ func (c *blockCache) shard(k cacheKey) *cacheShard {
 func (c *blockCache) get(k cacheKey) ([]byte, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
-	b, ok := s.m[k]
+	e, ok := s.m[k]
 	if ok {
-		for i, rk := range s.ring {
-			if rk == k {
-				s.used[i] = true
-				break
-			}
-		}
+		s.used[e.slot] = true
 	}
 	s.mu.Unlock()
 	if ok {
@@ -88,7 +92,7 @@ func (c *blockCache) get(k cacheKey) ([]byte, bool) {
 	} else {
 		c.misses.Add(1)
 	}
-	return b, ok
+	return e.block, ok
 }
 
 // put inserts block b for k, evicting a cold entry if the shard is full.
@@ -97,36 +101,42 @@ func (c *blockCache) put(k cacheKey, b []byte) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.m[k]; ok {
-		s.m[k] = b
+	if e, ok := s.m[k]; ok {
+		e.block = b
+		s.m[k] = e
 		return
 	}
 	if len(s.ring) < s.cap {
-		s.m[k] = b
+		s.m[k] = cacheEntry{block: b, slot: len(s.ring)}
 		s.ring = append(s.ring, k)
 		s.used = append(s.used, false)
 		return
 	}
 	for {
 		old := s.ring[s.hand]
-		_, live := s.m[old]
+		e, live := s.m[old]
+		live = live && e.slot == s.hand
 		if live && s.used[s.hand] {
 			s.used[s.hand] = false
 			s.hand = (s.hand + 1) % len(s.ring)
 			continue
 		}
-		// Cold (or already invalidated by dropTable): take the slot.
-		delete(s.m, old)
+		// Cold, or stale (dropped by dropTable, perhaps re-inserted into
+		// another slot since): take the slot, evicting only its own entry.
+		if live {
+			delete(s.m, old)
+		}
 		s.ring[s.hand] = k
 		s.used[s.hand] = false
-		s.m[k] = b
+		s.m[k] = cacheEntry{block: b, slot: s.hand}
 		s.hand = (s.hand + 1) % len(s.ring)
 		return
 	}
 }
 
 // dropTable eagerly removes every cached block of a retired table. Ring
-// slots keep the stale key and are reclaimed lazily by put's clock sweep.
+// slots keep the stale key and are reclaimed lazily by put's clock sweep,
+// which recognises them by the slot recorded in the map.
 // Racing readers that still hold a snapshot of the table may briefly
 // re-insert its blocks; the unique table id keeps those entries harmless
 // and the clock evicts them once cold.

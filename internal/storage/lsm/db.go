@@ -9,7 +9,9 @@
 // tombstone records that shadow older runs until compaction reaches the
 // bottom level and garbage-collects them. Benchmark-point reads are range
 // scans (all keys of one timestamp are co-located, one positioning per
-// run); HWMT reads are bloom-guarded point gets.
+// run); HWMT, extension and validation reads are Fetch calls, one ordered
+// forward walk per run over the requested (t, oid) keys, with one cache
+// lookup per block touched (Snapshot.Fetch).
 //
 // Crash model: the MANIFEST (which names the live tables and the active
 // WAL) is the sole commit point, written via fsynced tmp file + rename +
@@ -469,8 +471,8 @@ func (db *DB) Scan(start [storage.KeySize]byte, fn func(key, val []byte) bool) e
 	return s.Scan(start, fn)
 }
 
-// Fetch implements storage.Store: bloom-guarded point gets, all against one
-// snapshot.
+// Fetch implements storage.Store: one ordered walk per run over the sorted
+// oids (Snapshot.Fetch), all against one snapshot.
 func (db *DB) Fetch(t int32, oids model.ObjSet) ([]model.ObjPos, error) {
 	if len(oids) == 0 {
 		return nil, nil
@@ -480,17 +482,9 @@ func (db *DB) Fetch(t int32, oids model.ObjSet) ([]model.ObjPos, error) {
 		return nil, err
 	}
 	defer s.Release()
-	out := make([]model.ObjPos, 0, len(oids))
-	for _, oid := range oids {
-		v, err := s.GetKV(storage.EncodeKey(t, oid))
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			continue
-		}
-		x, y := storage.DecodeValue(v)
-		out = append(out, model.ObjPos{OID: oid, X: x, Y: y})
+	out, err := s.Fetch(t, oids)
+	if err != nil {
+		return nil, err
 	}
 	db.stats.AddPointQueries(len(oids), len(out))
 	db.stats.AddScanned(len(out))

@@ -29,6 +29,35 @@ func TestConformance(t *testing.T) {
 	storetest.Run(t, db, ds)
 }
 
+// TestConformanceWide fetches sets that span many blocks of one tick, on a
+// compacted store and on one spread over several runs plus the memtable.
+func TestConformanceWide(t *testing.T) {
+	ds := storetest.WideDataset(25)
+	dir := t.TempDir()
+	if err := WriteDataset(dir, ds, nil); err != nil {
+		t.Fatalf("WriteDataset: %v", err)
+	}
+	db, err := Open(dir, nil)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer db.Close()
+	storetest.Run(t, db, ds)
+
+	runs, err := Open(t.TempDir(), &Options{MemtableBytes: 64 << 10, MaxTables: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runs.Close()
+	if err := runs.PutBatch(ds.Points()); err != nil {
+		t.Fatal(err)
+	}
+	if runs.NumTables() < 3 {
+		t.Fatalf("expected several sstables, got %d", runs.NumTables())
+	}
+	storetest.Run(t, runs, ds)
+}
+
 func TestConformanceManySmallTables(t *testing.T) {
 	// Tiny memtable forces many flushes; MaxTables large enough to avoid
 	// compaction so reads must merge across runs.

@@ -154,6 +154,24 @@ func TestConcurrentReadersDuringCompaction(t *testing.T) {
 					readErrs.Add(1)
 					return
 				}
+				// Periodic multi-key fetches walk every run under churn.
+				if i%16 == 0 {
+					oids := make(model.ObjSet, 0, 32)
+					for o := oid % 16; o < keys; o += 16 {
+						oids = append(oids, o)
+					}
+					rows, err := db.Fetch(0, oids)
+					if err != nil || len(rows) != len(oids) {
+						readErrs.Add(1)
+						return
+					}
+					for _, r := range rows {
+						if r.X < 1 {
+							readErrs.Add(1)
+							return
+						}
+					}
+				}
 				// Periodic scans exercise the merged iterator path too.
 				if i%64 == 0 {
 					n := 0

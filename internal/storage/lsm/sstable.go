@@ -406,6 +406,79 @@ func (t *sstable) get(key []byte, env *readEnv) (val []byte, tomb bool, err erro
 	return nil, false, nil
 }
 
+// firstKey returns block bi's first key as a big-endian integer, which
+// orders keys exactly as bytes.Compare does.
+func (t *sstable) firstKey(bi int) uint64 {
+	return binary.BigEndian.Uint64(t.index[bi].firstKey[:])
+}
+
+// fetchCursor is one run's position in an ordered multi-key lookup
+// (Snapshot.Fetch): the block it holds and how far into it earlier keys
+// reached. Ascending keys only ever move it forward.
+type fetchCursor struct {
+	bi    int    // index of the held block; -1 before the first load
+	block []byte // the held block, shared with the block cache (read-only)
+	i     int    // records [0, i) of block sort at or before the last key sought
+}
+
+// find returns key's record (key | value | meta) in t, or nil when t holds
+// no version of it. It loads a block only when key falls outside the held
+// one, so a run of keys inside one block costs one cache lookup; the
+// in-block search starts where the previous key left off. A key below the
+// previous one (unsorted input) restarts the search, so any order is
+// answered correctly.
+func (c *fetchCursor) find(t *sstable, key uint64, env *readEnv) ([]byte, error) {
+	nb := len(t.index)
+	if nb == 0 || key < t.firstKey(0) {
+		return nil, nil
+	}
+	if c.bi < 0 || key < t.firstKey(c.bi) || (c.bi+1 < nb && key >= t.firstKey(c.bi+1)) {
+		// The last block whose first key is ≤ key; a key past the held
+		// block only searches the blocks after it.
+		lo, hi := 0, nb
+		if c.bi >= 0 && key >= t.firstKey(c.bi) {
+			lo = c.bi + 1
+		}
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if t.firstKey(mid) <= key {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		block, phys, err := t.cachedBlock(lo-1, env)
+		if err != nil {
+			return nil, err
+		}
+		if phys && env != nil && env.io != nil {
+			env.io.AddSeeks(1)
+			env.io.AddBytes(len(block))
+		}
+		c.bi, c.block, c.i = lo-1, block, 0
+	}
+	rs := t.recSize
+	keyAt := func(r int) uint64 { return binary.BigEndian.Uint64(c.block[r*rs:]) }
+	lo, hi := c.i, int(t.index[c.bi].count)
+	if lo > 0 && keyAt(lo-1) >= key {
+		lo = 0
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keyAt(mid) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	c.i = lo
+	if lo < int(t.index[c.bi].count) && keyAt(lo) == key {
+		c.i = lo + 1
+		return c.block[lo*rs : (lo+1)*rs], nil
+	}
+	return nil, nil
+}
+
 // iterator returns an sstIter positioned at the first key ≥ start. With an
 // env carrying a cache, block loads go through the shared block cache —
 // query pages re-walk the same index ranges constantly, so their blocks

@@ -97,6 +97,91 @@ func TestBlockCacheCoherent(t *testing.T) {
 	}
 }
 
+// The block cache's CLOCK ring: a hit gives its entry a second chance, the
+// hand evicts the first cold entry, and a slot left stale by dropTable is
+// reclaimed without evicting anything live — not even its own key,
+// re-inserted into another slot since, whether that slot lies before or
+// after the stale one. Hits mark the live slot.
+func TestBlockCacheClockOrder(t *testing.T) {
+	c := newBlockCache(0) // the 4-entry-per-shard floor
+	s := &c.shards[0]
+	var k []cacheKey // keys of shard 0, each from its own table
+	for tab := uint64(1); len(k) < 8; tab++ {
+		if key := (cacheKey{table: tab}); c.shard(key) == s {
+			k = append(k, key)
+		}
+	}
+	check := func(step string, live, gone []int) {
+		t.Helper()
+		for _, i := range live {
+			if _, ok := s.m[k[i]]; !ok {
+				t.Fatalf("%s: k%d evicted", step, i)
+			}
+		}
+		for _, i := range gone {
+			if _, ok := s.m[k[i]]; ok {
+				t.Fatalf("%s: k%d still cached", step, i)
+			}
+		}
+		for key, e := range s.m {
+			if s.ring[e.slot] != key {
+				t.Fatalf("%s: %v maps to slot %d, which holds %v", step, key, e.slot, s.ring[e.slot])
+			}
+		}
+	}
+	hit := func(i int) {
+		t.Helper()
+		if b, ok := c.get(k[i]); !ok || len(b) != 1 || b[0] != byte(i) {
+			t.Fatalf("get k%d = %v, %v", i, b, ok)
+		}
+		if !s.used[s.m[k[i]].slot] {
+			t.Fatalf("hit on k%d did not mark its slot", i)
+		}
+	}
+	put := func(i int) { c.put(k[i], []byte{byte(i)}) }
+
+	for i := 0; i < 4; i++ {
+		put(i)
+	}
+	hit(0)
+	hit(2)
+	put(4) // passes used k0, evicts cold k1
+	check("second chance", []int{0, 2, 3, 4}, []int{1})
+	put(5) // passes used k2, evicts cold k3
+	check("second chance again", []int{0, 2, 4, 5}, []int{3})
+
+	// Ring [k0 k4 k2 k5], all cold, hand at slot 0. Dropping k2's table
+	// leaves slot 2 stale; k2 re-inserted lands in slot 0, before it.
+	c.dropTable(k[2].table)
+	put(2)
+	check("re-insert before the stale slot", []int{2, 4, 5}, []int{0})
+	put(6) // evicts cold k4 in slot 1
+	hit(2)
+	put(7) // reaches stale slot 2: takes it, evicting nothing
+	check("stale slot after the live one", []int{2, 5, 6, 7}, []int{4})
+
+	// Ring [k2 k6 k7 k5], k2 used, hand at slot 3. A stale slot is taken
+	// at once, whatever its used bit says.
+	put(3) // evicts cold k5; ring [k2 k6 k7 k3], hand at slot 0
+	check("cold eviction", []int{2, 6, 7, 3}, []int{5})
+	c.dropTable(k[2].table)
+	put(1)
+	check("stale used slot reclaimed", []int{6, 7, 3, 1}, []int{2})
+
+	// Ring [k1 k6 k7 k3], hand at slot 1. Drop k1 (slot 0 stale), then
+	// re-insert it: the hand takes cold k6's slot 1, after the stale one.
+	c.dropTable(k[1].table)
+	put(1)
+	check("re-insert after the stale slot", []int{1, 7, 3}, []int{6})
+	hit(1) // must mark slot 1, not stale slot 0
+	put(0) // hand at 2: evicts cold k7
+	put(4) // hand at 3: evicts cold k3
+	put(5) // hand at 0: takes stale slot 0 without evicting k1
+	check("stale slot before the live one", []int{1, 0, 4, 5}, []int{7, 3})
+	put(6) // hand at 1: k1's second chance spares it; evicts k0
+	check("second chance on the live slot", []int{1, 4, 5, 6}, []int{0})
+}
+
 // Snapshot scans across memtable + multiple runs must merge and dedupe.
 func TestSnapshotAcrossMemtableAndRuns(t *testing.T) {
 	dir := t.TempDir()

@@ -29,6 +29,21 @@ func TestConformanceBulkLoad(t *testing.T) {
 	storetest.Run(t, s, ds)
 }
 
+// TestConformanceWide fetches sets that span many pages of one tick.
+func TestConformanceWide(t *testing.T) {
+	ds := storetest.WideDataset(13)
+	path := filepath.Join(t.TempDir(), "table.k2r")
+	if err := WriteDataset(path, ds, nil); err != nil {
+		t.Fatalf("WriteDataset: %v", err)
+	}
+	s, err := Open(path, nil)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	storetest.Run(t, s, ds)
+}
+
 func TestConformanceInserts(t *testing.T) {
 	ds := storetest.RandomDataset(11, 25, 20, 0.6)
 	path := filepath.Join(t.TempDir(), "table.k2r")

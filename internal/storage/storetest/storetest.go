@@ -34,6 +34,11 @@ func RandomDataset(seed int64, nObj, nTicks int, presence float64) *model.Datase
 	return model.NewDataset(pts)
 }
 
+// WideDataset is a dataset with about 1000 objects at each of 8 ticks, so
+// one tick's records span several storage blocks and Run's large Fetch
+// sets cross block boundaries.
+func WideDataset(seed int64) *model.Dataset { return RandomDataset(seed, 1100, 8, 0.9) }
+
 // Run exercises store against the dataset it was loaded with.
 func Run(t *testing.T, store storage.Store, ds *model.Dataset) {
 	t.Helper()
@@ -56,27 +61,38 @@ func Run(t *testing.T, store storage.Store, ds *model.Dataset) {
 		}
 	}
 
-	// Random fetches match, mixing present and absent objects and ticks.
+	// Random fetches match: sets of 1 to 8 ids and of up to 2000, mixing
+	// present and absent objects or taking only one kind, at every tick and
+	// its out-of-range neighbours. Against a wide dataset the large sets
+	// span many storage blocks per tick.
 	rng := rand.New(rand.NewSource(99))
 	allObjs := ds.Objects()
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		tt := wantTs + int32(rng.Intn(int(wantTe-wantTs)+3)) - 1
+		n := rng.Intn(8) + 1
+		if trial%2 == 1 {
+			n = rng.Intn(2000) + 1
+		}
+		mode := trial % 3 // 0: mixed, 1: present objects only, 2: absent only
 		var ids []int32
-		for len(ids) < rng.Intn(8)+1 {
-			if len(allObjs) > 0 && rng.Intn(3) > 0 {
+		for len(ids) < n {
+			if len(allObjs) > 0 && mode != 2 && (mode == 1 || rng.Intn(3) > 0) {
 				ids = append(ids, allObjs[rng.Intn(len(allObjs))])
+			} else if rng.Intn(2) == 0 {
+				ids = append(ids, int32(rng.Intn(100000)+5000)) // absent
 			} else {
-				ids = append(ids, int32(rng.Intn(1000)+5000)) // absent
+				ids = append(ids, -int32(rng.Intn(100000)+1)) // absent, negative
 			}
 		}
 		oids := model.NewObjSet(ids...)
 		want := ds.Fetch(tt, oids)
 		got, err := store.Fetch(tt, oids)
 		if err != nil {
-			t.Fatalf("Fetch(%d, %v): %v", tt, oids, err)
+			t.Fatalf("Fetch(%d, %d ids): %v", tt, len(oids), err)
 		}
 		if !objPosEqual(got, want) {
-			t.Fatalf("Fetch(%d, %v) = %v, want %v", tt, oids, got, want)
+			t.Fatalf("Fetch(%d, %d ids) = %d rows, want %d rows\n got %v\nwant %v",
+				tt, len(oids), len(got), len(want), got, want)
 		}
 	}
 

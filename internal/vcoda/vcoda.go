@@ -103,21 +103,18 @@ func Mine(store storage.Store, m, k int, eps float64) ([]model.Convoy, Report, e
 }
 
 // RestrictFromStore materialises DB[T]|O via point queries against a store.
+// Fetch rows are already per-tick snapshots sorted by OID, so they become
+// the dataset's snapshots as they are.
 func RestrictFromStore(store storage.Store, objs model.ObjSet, iv model.Interval) (*model.Dataset, error) {
-	var pts []model.Point
+	snaps := make([][]model.ObjPos, 0, iv.Len())
 	for t := iv.Start; t <= iv.End; t++ {
 		rows, err := store.Fetch(t, objs)
 		if err != nil {
 			return nil, fmt.Errorf("vcoda: fetch %d: %w", t, err)
 		}
-		for _, p := range rows {
-			pts = append(pts, model.Point{OID: p.OID, T: t, X: p.X, Y: p.Y})
-		}
+		snaps = append(snaps, rows)
 	}
-	if len(pts) == 0 {
-		return model.NewDataset(nil), nil
-	}
-	return model.NewDataset(pts), nil
+	return model.DatasetFromSnapshots(iv.Start, snaps), nil
 }
 
 // Validate reduces candidate convoys to the maximal FC convoys they cover.

@@ -43,6 +43,9 @@ type Sample struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds the values a benchmark published with b.ReportMetric,
+	// keyed by unit (e.g. the k/2-hop phase times, "validate-ns/op").
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Benchmark groups the samples of one benchmark function (-count > 1
@@ -109,6 +112,13 @@ func parseBench(r io.Reader) (File, error) {
 				s.BytesPerOp, _ = strconv.ParseInt(val, 10, 64)
 			case "allocs/op":
 				s.AllocsPerOp, _ = strconv.ParseInt(val, 10, 64)
+			default:
+				if v, err := strconv.ParseFloat(val, 64); err == nil {
+					if s.Metrics == nil {
+						s.Metrics = map[string]float64{}
+					}
+					s.Metrics[unit] = v
+				}
 			}
 		}
 		if !ok {

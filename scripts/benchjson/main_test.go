@@ -53,6 +53,25 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// Values published with b.ReportMetric are kept, keyed by unit.
+func TestParseBenchCustomMetrics(t *testing.T) {
+	line := "pkg: repro\nBenchmarkK2HopParallel/workers=2-2  10  1800000 ns/op  120000 candidate-ns/op  400000 validate-ns/op  5000 B/op  30 allocs/op\n"
+	f, err := parseBench(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Benchmarks) != 1 {
+		t.Fatalf("parsed %+v", f.Benchmarks)
+	}
+	s := f.Benchmarks[0].Samples[0]
+	if s.NsPerOp != 1800000 || s.AllocsPerOp != 30 {
+		t.Fatalf("standard fields: %+v", s)
+	}
+	if s.Metrics["candidate-ns/op"] != 120000 || s.Metrics["validate-ns/op"] != 400000 || len(s.Metrics) != 2 {
+		t.Fatalf("custom metrics: %v", s.Metrics)
+	}
+}
+
 func TestMarkdownBeforeAfter(t *testing.T) {
 	cur, err := parseBench(strings.NewReader(benchOutput))
 	if err != nil {

@@ -144,7 +144,10 @@ type Result struct {
 	K2Hop *K2HopReport
 }
 
-// Mine runs a convoy miner against a store.
+// Mine runs a convoy miner against a store. A store that can pin a read
+// view (storage.Pinner, as the LSM engine does) is pinned once for the
+// whole run, so every read of one Mine sees the same table-list version,
+// and the view is released before Mine returns.
 func Mine(store Store, p Params, opts *Options) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -169,6 +172,23 @@ func Mine(store Store, p Params, opts *Options) (*Result, error) {
 		o.Lambda = opts.Lambda
 		o.DisableReExtend = opts.DisableReExtend
 	}
+	pn, ok := store.(storage.Pinner)
+	if !ok {
+		return mine(store, p, o)
+	}
+	view, err := pn.Pin()
+	if err != nil {
+		return nil, fmt.Errorf("convoy: pin store: %w", err)
+	}
+	res, err := mine(view, p, o)
+	if cerr := view.Close(); err == nil && cerr != nil {
+		return nil, cerr
+	}
+	return res, err
+}
+
+// mine runs the selected miner with validated parameters and options.
+func mine(store Store, p Params, o Options) (*Result, error) {
 	res := &Result{Algorithm: o.Algorithm}
 	before := store.Stats().Snapshot().PointsRead
 	start := time.Now()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -16,7 +17,10 @@ import (
 // to the right (and vice versa) — see DESIGN.md §3.
 func (mi *miner) extendAll(merged []model.Convoy, rep *Report) ([]model.Convoy, error) {
 	cur := merged
-	var prevKeys string
+	// extend returns its convoys in canonical order, so the fixpoint test is
+	// a linear element-wise comparison. prev starts nil: an empty first
+	// pass already equals it and stops after one iteration.
+	var prev []model.Convoy
 	for iter := 0; ; iter++ {
 		start := time.Now()
 		right, err := mi.extend(cur, +1, &rep.ExtendRightCPU)
@@ -36,11 +40,10 @@ func (mi *miner) extendAll(merged []model.Convoy, rep *Report) ([]model.Convoy, 
 		if !mi.cfg.ReExtend || iter+1 >= mi.cfg.MaxReExtend {
 			return cur, nil
 		}
-		keys := convoyKeys(cur)
-		if keys == prevKeys {
+		if slices.EqualFunc(cur, prev, model.Convoy.Equal) {
 			return cur, nil
 		}
-		prevKeys = keys
+		prev = cur
 	}
 }
 
@@ -182,17 +185,4 @@ func extendDominate(cands []extCand, dir int32) []extCand {
 		}
 	}
 	return out
-}
-
-// convoyKeys builds a canonical fingerprint of a convoy slice for fixpoint
-// detection.
-func convoyKeys(cs []model.Convoy) string {
-	sorted := make([]model.Convoy, len(cs))
-	copy(sorted, cs)
-	model.SortConvoys(sorted)
-	key := ""
-	for _, c := range sorted {
-		key += c.Key() + ";"
-	}
-	return key
 }

@@ -12,10 +12,21 @@
 // The grid index buckets points into eps×eps cells, so an eps-neighbourhood
 // query inspects at most the 3×3 surrounding cells: expected O(1) per query
 // for non-degenerate data, O(n) per clustering run, instead of the O(n²) of
-// index-free DBSCAN that the paper identifies as a bottleneck.
+// index-free DBSCAN that the paper identifies as a bottleneck. Inputs of at
+// most 64 points skip the index: k/2-hop re-clusters each candidate's own
+// few objects hundreds of thousands of times per mine, and at that size a
+// bit-mask adjacency matrix is several times cheaper than building a grid
+// (clusterTiny).
+//
+// Every path answers the same neighbour predicate, model.DistSq(p, q) ≤
+// eps², so the index is never part of the semantics. Where the grid cannot
+// be exact — a degenerate radius (≤ 0, NaN, Inf, or eps² overflowing) or a
+// coordinate whose cell index leaves int32 — neighbourhoods come from an
+// exact all-pairs scan instead.
 package dbscan
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/model"
@@ -39,6 +50,17 @@ func Cluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 	if n == 0 || minPts <= 0 || n < minPts {
 		return nil
 	}
+	if n <= tinyMax {
+		return clusterTiny(objs, eps, minPts)
+	}
+	return clusterIndexed(objs, eps, minPts)
+}
+
+// clusterIndexed is Cluster over a spatial index: the grid, or exact
+// all-pairs neighbourhoods where the grid cannot be exact. It accepts any
+// n; Cluster routes only inputs above tinyMax here.
+func clusterIndexed(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
+	n := len(objs)
 	idx := newGrid(objs, eps)
 	labels := make([]int32, n) // int32 halves the per-call zeroing cost
 	for i := range labels {
@@ -107,14 +129,112 @@ func Cluster(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
 			}
 			clusters = append(clusters, cluster)
 		} else {
-			// Cannot happen with standard DBSCAN (a core point has ≥ minPts
-			// neighbours, all of which join its cluster), but guard anyway.
+			// The seed is core, but earlier clusters already claimed enough
+			// of its neighbours that fewer than minPts points remain (a
+			// stolen border). The points go back to noise: none of them is
+			// expanded again, and no later cluster can reach them except
+			// as a border.
 			for k := range labels {
 				if labels[k] == cid {
 					labels[k] = noise
 				}
 			}
 		}
+	}
+	return clusters
+}
+
+// tinyMax is the largest input Cluster answers with clusterTiny: one bit
+// per point in a uint64 adjacency row.
+const tinyMax = 64
+
+// clusterTiny is Cluster for 1 ≤ n ≤ tinyMax points. It fills a bit-mask
+// adjacency matrix in one pass over the pairs, with the indexed path's
+// predicate (so it agrees with it for every eps, degenerate ones
+// included), then runs clusterIndexed's control flow on masks:
+// seeds in input order, core means at least minPts neighbours (itself
+// included), a point claimed by an earlier cluster stays there, and points
+// that were noise join as borders without being expanded. A cluster's
+// membership is the closure of its seed under "an expanded point adds its
+// unclaimed neighbours", so the order the frontier is drained in does not
+// matter, and a cluster left below minPts returns its points to noise
+// exactly as clusterIndexed does. The only allocations are the output.
+func clusterTiny(objs []model.ObjPos, eps float64, minPts int) []model.ObjSet {
+	n := len(objs)
+	epsSq := eps * eps
+	var adj [tinyMax]uint64
+	for i := 0; i < n; i++ {
+		p := objs[i]
+		// A point is its own neighbour unless a coordinate is NaN or Inf.
+		if model.DistSq(p, p) <= epsSq {
+			adj[i] |= 1 << i
+		}
+		for j := i + 1; j < n; j++ {
+			if model.DistSq(p, objs[j]) <= epsSq {
+				adj[i] |= 1 << j
+				adj[j] |= 1 << i
+			}
+		}
+	}
+	var core uint64
+	for i := 0; i < n; i++ {
+		if bits.OnesCount64(adj[i]) >= minPts {
+			core |= 1 << i
+		}
+	}
+
+	unvisited := uint64(1)<<n - 1 // n = 64 wraps to all ones
+	var claimed uint64            // members of kept clusters
+	var kept [tinyMax]uint64
+	nk := 0
+	for i := 0; i < n; i++ {
+		bit := uint64(1) << i
+		if unvisited&bit == 0 {
+			continue
+		}
+		if core&bit == 0 {
+			unvisited &^= bit // noise
+			continue
+		}
+		expandable := unvisited & core
+		members, todo := bit, bit
+		for todo != 0 {
+			j := bits.TrailingZeros64(todo)
+			todo &= todo - 1
+			reach := adj[j] &^ claimed &^ members
+			members |= reach
+			todo |= reach & expandable
+		}
+		unvisited &^= members
+		if bits.OnesCount64(members) >= minPts {
+			claimed |= members
+			kept[nk] = members
+			nk++
+		}
+		// Otherwise a stolen border: the members stay noise.
+	}
+	if nk == 0 {
+		return nil
+	}
+
+	// Clusters are disjoint, so one backing array holds them all; each
+	// cluster's capacity ends at its own region.
+	buf := make([]int32, 0, bits.OnesCount64(claimed))
+	clusters := make([]model.ObjSet, nk)
+	for c, m := range kept[:nk] {
+		lo := len(buf)
+		for ; m != 0; m &= m - 1 {
+			buf = append(buf, objs[bits.TrailingZeros64(m)].OID)
+		}
+		cl := model.ObjSet(buf[lo:len(buf):len(buf)])
+		slices.Sort(cl)
+		for j := 1; j < len(cl); j++ {
+			if cl[j] == cl[j-1] {
+				cl = slices.Compact(cl)
+				break
+			}
+		}
+		clusters[c] = cl
 	}
 	return clusters
 }

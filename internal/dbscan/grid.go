@@ -21,10 +21,15 @@ import (
 // removes all hashing from the query path and all per-cell slice growth
 // from construction — the two biggest CPU and allocation sinks the k/2-hop
 // profile showed, since every re-clustering builds a fresh index.
+//
+// When the grid cannot be exact — the radius is not gridEps or a
+// coordinate is not cellable — the index holds no entries and every query
+// scans all points.
 type grid struct {
-	objs    []model.ObjPos
-	eps     float64
-	entries []gridEntry
+	objs     []model.ObjPos
+	eps      float64
+	allPairs bool
+	entries  []gridEntry
 }
 
 // gridEntry locates one point in cell-key order.
@@ -42,18 +47,35 @@ func packKey(cx, cy int32) uint64 {
 }
 
 func newGrid(objs []model.ObjPos, eps float64) *grid {
-	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-		// Degenerate radius: every point is only its own neighbour. Use a
-		// tiny positive cell so keys stay finite.
-		eps = math.SmallestNonzeroFloat64
+	g := &grid{objs: objs, eps: eps, allPairs: true}
+	if !gridEps(eps) {
+		return g
 	}
-	g := &grid{objs: objs, eps: eps, entries: make([]gridEntry, len(objs))}
+	entries := make([]gridEntry, len(objs))
 	for i, p := range objs {
+		if !cellable(p.X, eps) || !cellable(p.Y, eps) {
+			return g
+		}
 		cx, cy := g.cellOf(p.X, p.Y)
-		g.entries[i] = gridEntry{key: packKey(cx, cy), i: int32(i)}
+		entries[i] = gridEntry{key: packKey(cx, cy), i: int32(i)}
 	}
-	slices.SortFunc(g.entries, func(a, b gridEntry) int { return cmp.Compare(a.key, b.key) })
+	slices.SortFunc(entries, func(a, b gridEntry) int { return cmp.Compare(a.key, b.key) })
+	g.allPairs, g.entries = false, entries
 	return g
+}
+
+// gridEps reports whether eps can be a grid's cell side: finite and
+// positive, with eps² finite too (an overflowed eps² would admit points
+// many cells apart).
+func gridEps(eps float64) bool { return eps > 0 && !math.IsInf(eps*eps, 1) }
+
+// cellable reports whether v lands in a cell whose coordinate fits int32.
+// Beyond that the float→int32 conversion in cellOf is implementation-
+// defined and the "neighbours live in the 3×3 block" invariant breaks
+// (astronomic coordinates, NaN, Inf). NaN fails both comparisons.
+func cellable(v, eps float64) bool {
+	c := math.Floor(v / eps)
+	return c >= math.MinInt32 && c <= math.MaxInt32
 }
 
 func (g *grid) cellOf(x, y float64) (cx, cy int32) {
@@ -64,6 +86,14 @@ func (g *grid) cellOf(x, y float64) (cx, cy int32) {
 // (including i itself) and returns the extended slice.
 func (g *grid) neighbors(i int, epsSq float64, dst []int) []int {
 	p := g.objs[i]
+	if g.allPairs {
+		for j, q := range g.objs {
+			if model.DistSq(p, q) <= epsSq {
+				dst = append(dst, j)
+			}
+		}
+		return dst
+	}
 	cx, cy := g.cellOf(p.X, p.Y)
 	// Clamp the 3×3 block at the int32 extremes: a wrapped coordinate would
 	// either skip cells that do hold points (cy) or scan a far-away column

@@ -41,8 +41,8 @@ import (
 //   - coordinates whose cell index would overflow int32 (grid geometry, and
 //     with it the dirty-neighbourhood argument, breaks down), including
 //     NaN/Inf positions;
-//   - degenerate eps (≤ 0, NaN or Inf), where Cluster's own grid is already
-//     clamped to a point-sized cell;
+//   - a radius no grid can use (≤ 0, NaN, Inf, or eps² overflowing), where
+//     Cluster itself scans all pairs;
 //   - cached neighbourhoods exceeding the memory cap (pathologically dense
 //     data), with a backoff so near-quadratic inputs don't thrash rebuilds.
 //
@@ -53,13 +53,12 @@ import (
 // previous tick to diff against, and the scratch path doubles as the frozen
 // oracle the differential and fuzz suites compare this engine to.
 type Incremental struct {
-	rawEps float64 // as given; used for scratch fallback calls
-	eps    float64 // clamped like newGrid; used for cell math
-	epsSq  float64 // rawEps², matching Cluster's distance threshold
+	eps    float64 // cell side and scratch fallback radius
+	epsSq  float64 // eps², matching Cluster's distance threshold
 	minPts int
 
-	// degenerate pins the engine to scratch Cluster forever: with eps ≤ 0
-	// every point is its own sole neighbour and there is nothing to amortise.
+	// degenerate pins the engine to scratch Cluster forever: the radius
+	// cannot be a cell side (see gridEps), so there is no grid to carry.
 	degenerate bool
 	// valid reports whether the carried state describes the previous tick.
 	// False initially, after Reset, and after any fallback tick.
@@ -148,18 +147,13 @@ func NewIncremental(eps float64, minPts int) (*Incremental, error) {
 	if minPts < 1 {
 		return nil, fmt.Errorf("dbscan: minPts must be ≥ 1, got %d", minPts)
 	}
-	inc := &Incremental{
-		rawEps:  eps,
-		eps:     eps,
-		epsSq:   eps * eps,
-		minPts:  minPts,
-		oidSlot: make(map[int32]int32),
-	}
-	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-		inc.degenerate = true
-		inc.eps = math.SmallestNonzeroFloat64
-	}
-	return inc, nil
+	return &Incremental{
+		eps:        eps,
+		epsSq:      eps * eps,
+		minPts:     minPts,
+		degenerate: !gridEps(eps),
+		oidSlot:    make(map[int32]int32),
+	}, nil
 }
 
 // Stats returns the cumulative counters.
@@ -171,7 +165,6 @@ func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
 // here.
 func (inc *Incremental) Reset() {
 	*inc = Incremental{
-		rawEps:     inc.rawEps,
 		eps:        inc.eps,
 		epsSq:      inc.epsSq,
 		minPts:     inc.minPts,
@@ -208,18 +201,13 @@ func (inc *Incremental) Step(objs []model.ObjPos) []model.ObjSet {
 // inconsistency mid-update must clearState first.
 func (inc *Incremental) fallback(objs []model.ObjPos) []model.ObjSet {
 	inc.stats.Fallbacks++
-	return Cluster(objs, inc.rawEps, inc.minPts)
+	return Cluster(objs, inc.eps, inc.minPts)
 }
 
-// cellable reports whether v lands in a cell whose coordinate fits int32.
-// Beyond that the float→int32 conversion in cellOf is implementation-
-// defined and the "neighbours live in the 3×3 block" invariant breaks, so
-// such snapshots (astronomic coordinates, NaN, Inf) go to scratch. NaN
-// fails both comparisons.
-func (inc *Incremental) cellable(v float64) bool {
-	c := math.Floor(v / inc.eps)
-	return c >= math.MinInt32 && c <= math.MaxInt32
-}
+// cellable reports whether v fits the incremental grid (see cellable);
+// snapshots with a coordinate that does not go to scratch Cluster, which
+// answers them with exact all-pairs neighbourhoods.
+func (inc *Incremental) cellable(v float64) bool { return cellable(v, inc.eps) }
 
 func (inc *Incremental) keyOf(x, y float64) uint64 {
 	return packKey(int32(math.Floor(x/inc.eps)), int32(math.Floor(y/inc.eps)))

@@ -200,8 +200,8 @@ func TestIncrementalExtremeCoordsFallBack(t *testing.T) {
 	}
 }
 
-// Degenerate eps pins the engine to scratch permanently (Cluster's grid is
-// already clamped to a point-sized cell there; nothing to amortise).
+// Degenerate eps pins the engine to scratch permanently (Cluster scans all
+// pairs there; there is no grid to amortise).
 func TestIncrementalDegenerateEps(t *testing.T) {
 	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		inc, err := NewIncremental(eps, 1)

@@ -11,7 +11,9 @@
 // scans (all keys of one timestamp are co-located, one positioning per
 // run); HWMT, extension and validation reads are Fetch calls, one ordered
 // forward walk per run over the requested (t, oid) keys, with one cache
-// lookup per block touched (Snapshot.Fetch).
+// lookup per block touched (Snapshot.Fetch). Each DB.Snapshot or DB.Fetch
+// pins a snapshot for the call; DB.Pin (storage.Pinner) pins one for a
+// whole run of reads, which is how convoy.Mine reads.
 //
 // Crash model: the MANIFEST (which names the live tables and the active
 // WAL) is the sole commit point, written via fsynced tmp file + rename +
@@ -426,32 +428,15 @@ func (db *DB) Count() uint64 {
 func (db *DB) Stats() *storage.IOStats { return &db.stats }
 
 // Snapshot implements storage.Store: one merged range scan across runs over
-// the key prefix of timestamp t, against a pinned snapshot (lock-free I/O).
+// the key prefix of timestamp t, against a snapshot pinned for this call
+// (lock-free I/O).
 func (db *DB) Snapshot(t int32) ([]model.ObjPos, error) {
-	s, err := db.AcquireSnapshot()
+	v, err := db.pin()
 	if err != nil {
 		return nil, err
 	}
-	defer s.Release()
-	if s.te < s.ts || t < s.ts || t > s.te {
-		return nil, nil
-	}
-	start := storage.EncodeKey(t, -1<<31)
-	var out []model.ObjPos
-	err = s.Scan(start, func(k, v []byte) bool {
-		kt, oid := storage.DecodeKey(k)
-		if kt != t {
-			return false
-		}
-		x, y := storage.DecodeValue(v)
-		out = append(out, model.ObjPos{OID: oid, X: x, Y: y})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	db.stats.AddScan(len(out))
-	return out, nil
+	defer v.Close()
+	return v.Snapshot(t)
 }
 
 // Scan calls fn for every live record with key ≥ start, in ascending key
@@ -472,23 +457,14 @@ func (db *DB) Scan(start [storage.KeySize]byte, fn func(key, val []byte) bool) e
 }
 
 // Fetch implements storage.Store: one ordered walk per run over the sorted
-// oids (Snapshot.Fetch), all against one snapshot.
+// oids (Snapshot.Fetch), all against a snapshot pinned for this call.
 func (db *DB) Fetch(t int32, oids model.ObjSet) ([]model.ObjPos, error) {
-	if len(oids) == 0 {
-		return nil, nil
-	}
-	s, err := db.AcquireSnapshot()
+	v, err := db.pin()
 	if err != nil {
 		return nil, err
 	}
-	defer s.Release()
-	out, err := s.Fetch(t, oids)
-	if err != nil {
-		return nil, err
-	}
-	db.stats.AddPointQueries(len(oids), len(out))
-	db.stats.AddScanned(len(out))
-	return out, nil
+	defer v.Close()
+	return v.Fetch(t, oids)
 }
 
 // Close flushes buffers, stops the compactor and closes the database.

@@ -46,6 +46,20 @@ type Store interface {
 	Close() error
 }
 
+// Pinner is implemented by stores that serve a run of reads more cheaply
+// from one pinned, consistent view than from a fresh view per call (the
+// LSM engine pins a table-list version per Snapshot or Fetch otherwise).
+// Pin returns that view as a Store with the same concurrency guarantees;
+// Close on the view releases the pin and leaves the parent open.
+//
+// Pinner is deliberately not part of Store: a wrapper that embeds a Store
+// (a timing or fault-injecting decorator) would otherwise promote the
+// inner store's Pin, and reads through the pinned view would bypass the
+// wrapper.
+type Pinner interface {
+	Pin() (Store, error)
+}
+
 // IOStats counts the logical and physical I/O a store performed. All fields
 // are updated atomically so parallel miners can share one store.
 type IOStats struct {
